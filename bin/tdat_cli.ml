@@ -123,10 +123,10 @@ let check_file obs pcap_path mrt_path sender_side jobs strict verify_det =
   | None -> 2
   | Some (r, mrt_result, config) ->
       let ingest =
-        Tdat_audit.Ingest.of_result r
+        Tdat_audit.Ingest.of_diags ~file:"pcap" r.Tdat_pkt.Pcap.diags
         @ (match mrt_result with
           | Some (path, mr) ->
-              Tdat_audit.Ingest.of_mrt_diags ~file:path mr.Tdat_bgp.Mrt.diags
+              Tdat_audit.Ingest.of_diags ~file:path mr.Tdat_bgp.Mrt.diags
           | None -> [])
       in
       Format.printf "capture: %s@."

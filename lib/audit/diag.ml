@@ -1,4 +1,4 @@
-type severity = Error | Warning | Info
+type severity = Tdat_pkt.Ingest_io.Diag.severity = Error | Warning | Info
 
 type t = {
   code : string;
@@ -17,10 +17,7 @@ let error ?where = make Error ?where
 let warning ?where = make Warning ?where
 let info ?where = make Info ?where
 
-let severity_name = function
-  | Error -> "error"
-  | Warning -> "warning"
-  | Info -> "info"
+let severity_name = Tdat_pkt.Ingest_io.Diag.severity_name
 
 let equal_severity a b =
   match (a, b) with

@@ -5,7 +5,8 @@
     — the offending time range.  DESIGN.md ("Static analysis & auditing")
     documents the invariant behind each code. *)
 
-type severity = Error | Warning | Info
+(** The ingestion readers' severities, so their findings lift as is. *)
+type severity = Tdat_pkt.Ingest_io.Diag.severity = Error | Warning | Info
 
 type t = {
   code : string;  (** Stable invariant code, e.g. ["A001"]. *)

@@ -1,45 +1,14 @@
-open Tdat_pkt
-
-let severity_of = function
-  | Pcap.Diag.Error -> Diag.Error
-  | Pcap.Diag.Warning -> Diag.Warning
-  | Pcap.Diag.Info -> Diag.Info
-
-let of_pcap (d : Pcap.Diag.t) =
-  let subject =
-    match d.Pcap.Diag.record with
-    | Some i -> Printf.sprintf "pcap record %d" i
-    | None -> "pcap"
-  in
-  {
-    Diag.code = d.Pcap.Diag.code;
-    severity = severity_of d.Pcap.Diag.severity;
-    subject;
-    message = d.Pcap.Diag.message;
-    where = None;
-  }
-
-let of_result (r : Pcap.result) = List.map of_pcap r.Pcap.diags
-
-module Mrt = Tdat_bgp.Mrt
-
-let mrt_severity_of = function
-  | Mrt.Diag.Error -> Diag.Error
-  | Mrt.Diag.Warning -> Diag.Warning
-  | Mrt.Diag.Info -> Diag.Info
-
-let of_mrt ?(file = "mrt") (d : Mrt.Diag.t) =
-  let subject =
-    match d.Mrt.Diag.record with
-    | Some i -> Printf.sprintf "%s record %d" file i
-    | None -> file
-  in
-  {
-    Diag.code = d.Mrt.Diag.code;
-    severity = mrt_severity_of d.Mrt.Diag.severity;
-    subject;
-    message = d.Mrt.Diag.message;
-    where = None;
-  }
-
-let of_mrt_diags ?file ds = List.map (of_mrt ?file) ds
+let of_diags ~file ds =
+  List.map
+    (fun (d : Tdat_pkt.Ingest_io.Diag.t) ->
+      {
+        Diag.code = d.code;
+        severity = d.severity;
+        subject =
+          (match d.record with
+          | Some i -> Printf.sprintf "%s record %d" file i
+          | None -> file);
+        message = d.message;
+        where = None;
+      })
+    ds

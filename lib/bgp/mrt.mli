@@ -11,16 +11,21 @@
     detector anchors transfer starts on.  Other record types and
     subtypes are skipped losslessly.
 
-    Reading is {e streaming}: {!fold_file} / {!fold_channel} decode one
-    record at a time from a reused buffer, so a year-long archive is
-    processed in memory proportional to its largest record.  Malformed
-    input degrades gracefully: each problem produces a typed {!Diag.t}
-    ([M0xx] codes, see DESIGN.md "Measurement study") and the reader
-    salvages every decodable record.  [?strict:true] — and the legacy
-    {!decode} / {!of_file} — instead raise
+    Reading is {e streaming}: records are decoded one at a time from a
+    reused buffer, so a year-long archive is processed in memory
+    proportional to its largest record.  Malformed input degrades
+    gracefully: each problem produces a typed {!Diag.t} ([M0xx] codes,
+    see DESIGN.md "Measurement study") and the reader salvages every
+    decodable record.  [?strict:true] instead raises
     [Bgp_error.Decode_error] with context ["Mrt.decode"] on the first
     error- or warning-severity diagnostic, message-compatible with the
-    historical whole-file decoder. *)
+    historical whole-file decoder.
+
+    The record loop, sources, tailing and strict policy are the shared
+    [Tdat_pkt.Ingest_io] reader that [Tdat_pkt.Pcap] also runs on; this
+    module contributes the MRT framing and the BGP4MP body decoder.
+    Four entry points read: {!fold_read} and {!fold_file} stream
+    entries, {!read_file} and {!decode_result} collect a {!result}. *)
 
 type record = {
   ts : Tdat_timerange.Time_us.t;
@@ -39,7 +44,6 @@ val fsm_state_code : fsm_state -> int
 (** The RFC 6396 wire code, 1–6. *)
 
 val fsm_state_of_code : int -> fsm_state option
-val fsm_state_name : fsm_state -> string
 val equal_fsm_state : fsm_state -> fsm_state -> bool
 
 type state_change = {
@@ -59,8 +63,8 @@ val entry_ts : entry -> Tdat_timerange.Time_us.t
 val messages : entry list -> record list
 (** The [Message] payloads, in order (state changes dropped). *)
 
-(** Typed per-record archive diagnostics, the same code/severity/message
-    shape as [Pcap.Diag] ([Tdat_audit.Ingest] lifts both into the audit
+(** Typed per-record archive diagnostics — the type shared with
+    [Tdat_pkt.Pcap.Diag] ([Tdat_audit.Ingest] lifts both into the audit
     report):
 
     - [M001] warning: truncated record header — the file ends mid-header;
@@ -77,20 +81,7 @@ val messages : entry list -> record list
       skipped, salvage continues.
     - [M007] warning: record declaring an implausibly large body
       (> 16 MiB) — framing is no longer trusted; salvage stops. *)
-module Diag : sig
-  type severity = Error | Warning | Info
-
-  type t = {
-    code : string;  (** Stable archive code, e.g. ["M002"]. *)
-    severity : severity;
-    record : int option;  (** 0-based index of the offending record. *)
-    message : string;
-  }
-
-  val severity_name : severity -> string
-  val is_error : t -> bool
-  val pp : Format.formatter -> t -> unit
-end
+module Diag = Tdat_pkt.Ingest_io.Diag
 
 type stats = {
   records : int;  (** Complete records read. *)
@@ -101,60 +92,26 @@ type stats = {
 
 type result = { entries : entry list; diags : Diag.t list; stats : stats }
 
-val encode : record list -> string
-(** Message records only (legacy). *)
-
 val encode_entries : entry list -> string
 (** Messages and state changes, as BGP4MP_ET records. *)
-
-val decode : string -> record list
-(** Strict whole-buffer parse returning the [Message] records only —
-    state-change and unsupported records are skipped, as the historical
-    decoder did.
-    @raise Bgp_error.Decode_error on malformed input. *)
 
 val decode_result : ?strict:bool -> string -> result
 (** Fault-tolerant by default: salvages every decodable record and
     reports problems as diagnostics.  [~strict:true] raises
     [Bgp_error.Decode_error] on the first error/warning diagnostic. *)
 
-val fold_string :
+val fold_read :
   ?strict:bool ->
   ?on_diag:(Diag.t -> unit) ->
-  string ->
+  read:Tdat_pkt.Ingest_io.read ->
   init:'a ->
   ('a -> entry -> 'a) ->
   'a * stats
-(** [fold_string data ~init f] decodes [data] one record at a time,
-    folding [f] over the entries in archive order.  Diagnostics are
-    streamed to [on_diag] instead of being accumulated. *)
-
-val fold_channel :
-  ?strict:bool ->
-  ?on_diag:(Diag.t -> unit) ->
-  ?follow:Tdat_pkt.Ingest_io.follow ->
-  in_channel ->
-  init:'a ->
-  ('a -> entry -> 'a) ->
-  'a * stats
-(** Streaming fold over a (binary) channel in bounded memory: the
-    channel is read record by record into a reused buffer that never
-    exceeds the largest record.  Reads are [EINTR]-safe and short reads
-    are looped, so pipes and sockets never truncate a record; with
-    [~follow] (see {!Tdat_pkt.Ingest_io.follow_idle}) EOF polls the
-    source instead of ending the archive — the tailing mode for a
-    still-growing file. *)
-
-val fold_fd :
-  ?strict:bool ->
-  ?on_diag:(Diag.t -> unit) ->
-  ?follow:Tdat_pkt.Ingest_io.follow ->
-  Unix.file_descr ->
-  init:'a ->
-  ('a -> entry -> 'a) ->
-  'a * stats
-(** {!fold_channel} over a raw descriptor ([Unix.read]) — the right
-    entry point for pipes, sockets and tailed files. *)
+(** [fold_read ~read ~init f] decodes the archive [read] delivers one
+    record at a time, folding [f] over the entries in archive order;
+    diagnostics stream to [on_diag] instead of being accumulated.
+    [read] is any [Tdat_pkt.Ingest_io.read] (a pipe, an in-memory
+    archive); the fold only ends the archive when [read] returns [0]. *)
 
 val fold_file :
   ?strict:bool ->
@@ -164,15 +121,16 @@ val fold_file :
   init:'a ->
   ('a -> entry -> 'a) ->
   'a * stats
-(** {!fold_channel} on a freshly opened file, closed on return. *)
+(** {!fold_read} over a freshly opened file, closed on return.  With
+    [~follow] (see {!Tdat_pkt.Ingest_io.follow_idle}) EOF polls the file
+    instead of ending the archive — the tailing mode for a still-growing
+    file. *)
 
 val to_file : string -> record list -> unit
 val to_file_entries : string -> entry list -> unit
 
-val of_file : string -> record list
-(** Strict streaming read (legacy interface).
-    @raise Bgp_error.Decode_error on malformed input. *)
-
-val read_file : ?strict:bool -> string -> result
+val read_file :
+  ?strict:bool -> ?follow:Tdat_pkt.Ingest_io.follow -> string -> result
 (** Streaming read collecting the salvaged entries, all diagnostics and
-    counters.  Fault-tolerant unless [~strict:true]. *)
+    counters.  Fault-tolerant unless [~strict:true]; [~follow] tails a
+    growing file as {!fold_file} does. *)

@@ -93,7 +93,8 @@ let pcap_ingest =
     self_test = false;
     control =
       (fun path ->
-        Doc.analysis_doc (analyze_trace (Tdat_pkt.Pcap.decode (read_all path))));
+        let r = Tdat_pkt.Pcap.decode_result ~strict:true (read_all path) in
+        Doc.analysis_doc (analyze_trace r.Tdat_pkt.Pcap.trace));
     candidate =
       (fun path -> analysis_of_result (Tdat_pkt.Pcap.read_file path));
   }
@@ -127,10 +128,7 @@ let mrt_ingest =
     control =
       (fun path ->
         let r = Tdat_bgp.Mrt.decode_result ~strict:true (read_all path) in
-        let fr =
-          Tdat_study.Archive.scan_entries ~source:path r.Tdat_bgp.Mrt.entries
-        in
-        Doc.study_doc { fr with Tdat_study.Archive.stats = r.Tdat_bgp.Mrt.stats });
+        Doc.study_doc (Tdat_study.Archive.scan_result ~source:path r));
     candidate = (fun path -> Doc.study_doc (Tdat_study.Archive.scan_file path));
   }
 

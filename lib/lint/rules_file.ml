@@ -178,25 +178,24 @@ type hot_scope = All | Funcs of string list
    and once-per-file result assembly are deliberately outside the set. *)
 let default_hot_paths =
   [
-    ( "Pcap",
-      Funcs [ "decode_frame"; "fold_read"; "fold_string"; "fold_channel";
-              "fold_fd"; "fold_file" ] );
-    ( "Mrt",
-      Funcs [ "parse_body"; "fold_fill"; "fill_of_read"; "fold_string";
-              "fold_channel"; "fold_fd"; "fold_file" ] );
+    (* The framed-reader chassis' per-record loop and both format
+       decoders it calls once per record. *)
+    ( "Ingest_io",
+      Funcs [ "fold_records"; "read_upto"; "of_read"; "retry_eintr";
+              "of_string" ] );
+    ("Pcap", Funcs [ "decode_record"; "decode_frame"; "get_u32" ]);
+    ("Mrt", Funcs [ "decode_record"; "skip"; "warn" ]);
     ("Span_set", All);
     ("Trace", Funcs [ "conn_key"; "partition_connections"; "split_connection" ]);
     ("Slice", All);
-    ( "Series_gen",
-      Funcs [ "series_of_spans"; "flight_series"; "episode_series";
-              "generate" ] );
+    (* [generate] covers its local helpers (e.g. [episode_series]). *)
+    ("Series_gen", Funcs [ "series_of_spans"; "flight_series"; "generate" ]);
     ("Pool", Funcs [ "map"; "exec_chunk"; "drain" ]);
     (* The serve daemon's per-byte request loop: framing, socket
        shuffling and outbox routing run once per select wake-up. *)
     ( "Server",
       Funcs [ "conn_lines"; "handle_readable"; "flush_conn"; "drain_outbox";
               "reap" ] );
-    ("Ingest_io", Funcs [ "of_read"; "retry_eintr" ]);
     (* The experiment diff kernel walks every field of every report of
        every corpus file; paths stay cons-lists until a divergence is
        actually recorded. *)

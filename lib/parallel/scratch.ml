@@ -37,9 +37,9 @@ type t = { mutable cells : cell array; mutable icells : icell array }
 
 (* Well-known slot owners.  A new call site takes the next number; two
    sites may share a slot only if they can never be live at once. *)
-let slot_pcap_frame = 0
-let slot_mrt_body = 1
-let slot_reassembly = 2
+(* Both ingest formats' record buffer: no read runs inside another. *)
+let slot_record = 0
+let slot_reassembly = 1
 let slot_series_data_ts = 0
 let slot_series_ack_ts = 1
 let slot_series_all_ts = 2

@@ -12,45 +12,7 @@ let max_record_len = 0x0400_0000
 exception Decode_error of string
 exception Encode_error of string
 
-(* --- diagnostics ----------------------------------------------------- *)
-
-module Diag = struct
-  type severity = Error | Warning | Info
-
-  type t = {
-    code : string;
-    severity : severity;
-    record : int option;
-    message : string;
-  }
-
-  let make severity ?record ~code fmt =
-    Format.kasprintf (fun message -> { code; severity; record; message }) fmt
-
-  let error ?record ~code fmt = make Error ?record ~code fmt
-  let warning ?record ~code fmt = make Warning ?record ~code fmt
-  let info ?record ~code fmt = make Info ?record ~code fmt
-
-  let severity_name = function
-    | Error -> "error"
-    | Warning -> "warning"
-    | Info -> "info"
-
-  let is_error d = match d.severity with Error -> true | Warning | Info -> false
-
-  (* Errors and warnings abort a strict decode; infos never do. *)
-  let is_problem d =
-    match d.severity with Error | Warning -> true | Info -> false
-
-  let pp ppf d =
-    match d.record with
-    | Some i ->
-        Format.fprintf ppf "%s %s [record %d] %s" d.code
-          (severity_name d.severity) i d.message
-    | None ->
-        Format.fprintf ppf "%s %s %s" d.code (severity_name d.severity)
-          d.message
-end
+module Diag = Ingest_io.Diag
 
 (* --- observability ----------------------------------------------------
 
@@ -69,8 +31,6 @@ let m_bytes = Obs.Counter.make "pcap.bytes"
 
 let h_record_bytes =
   Obs.Histogram.make ~buckets:Obs.Histogram.size_buckets "pcap.record_bytes"
-
-let g_records_per_s = Obs.Gauge.make ~stable:false "pcap.records_per_s"
 
 (* --- encoding --------------------------------------------------------- *)
 
@@ -170,12 +130,19 @@ type stats = { records : int; decoded : int; skipped : int; clipped : int }
 
 type result = { trace : Trace.t; diags : Diag.t list; stats : stats }
 
+(* Per-read state: the file header's byte order and resolution, the
+   diagnostic sink, and the counters behind [stats]. *)
+type state = {
+  emit : Diag.t -> unit;
+  mutable endian : endianness;
+  mutable ns : bool;
+  mutable decoded : int;
+  mutable skipped : int;
+  mutable clipped : int;
+}
+
 (* Internal: abandon the current record (after emitting its diagnostic). *)
 exception Skip_record
-
-(* Internal: salvage mode stops reading; everything decoded so far is
-   kept. *)
-exception Stop_reading
 
 (* Decode one captured frame (a [Slice.t] over the captured bytes of the
    reused record buffer) into a TCP segment.  The frame is parsed
@@ -184,10 +151,10 @@ exception Stop_reading
    fewer than [len]).  Everything is read in place through the slice;
    the only allocations are the outputs kept past this record (the
    segment, its payload, any diagnostics). *)
-let decode_frame ~emit ~clipped ~ri ~ts frame =
+let decode_frame st ~ri ~ts frame =
   let incl = Slice.length frame in
   let skip d =
-    emit d;
+    st.emit d;
     raise_notrace Skip_record
   in
   try
@@ -198,7 +165,7 @@ let decode_frame ~emit ~clipped ~ri ~ts frame =
       if ethertype = 0x8100 then begin
         if incl < ethernet_header_len + 4 then
           skip (Diag.info ~record:ri ~code:"P009" "runt 802.1Q frame");
-        emit (Diag.info ~record:ri ~code:"P010" "802.1Q VLAN-tagged frame");
+        st.emit (Diag.info ~record:ri ~code:"P010" "802.1Q VLAN-tagged frame");
         (ethernet_header_len + 4, Slice.u16be frame 16)
       end
       else (ethernet_header_len, ethertype)
@@ -239,7 +206,7 @@ let decode_frame ~emit ~clipped ~ri ~ts frame =
     let len = ip_total - ihl - doff in
     let payload_off = tcp + doff in
     let captured = max 0 (min len (incl - payload_off)) in
-    if captured < len then incr clipped;
+    if captured < len then st.clipped <- st.clipped + 1;
     let payload =
       if captured = 0 then ""
       else Slice.sub_string frame ~off:payload_off ~len:captured
@@ -260,7 +227,7 @@ let decode_frame ~emit ~clipped ~ri ~ts frame =
         | kind ->
             if o + 2 > limit then begin
               if limit >= hdr_end then
-                emit
+                st.emit
                   (Diag.warning ~record:ri ~code:"P008"
                      "TCP option %d overruns the header" kind);
               mss
@@ -268,13 +235,13 @@ let decode_frame ~emit ~clipped ~ri ~ts frame =
             else begin
               let olen = Slice.u8 frame (o + 1) in
               if olen < 2 then begin
-                emit
+                st.emit
                   (Diag.warning ~record:ri ~code:"P008"
                      "TCP option %d has bad length %d" kind olen);
                 mss
               end
               else if o + olen > hdr_end then begin
-                emit
+                st.emit
                   (Diag.warning ~record:ri ~code:"P008"
                      "TCP option %d (length %d) overruns the header" kind olen);
                 mss
@@ -308,184 +275,97 @@ let decode_frame ~emit ~clipped ~ri ~ts frame =
          ~seq ~ack ~len ~window ~flags ?mss_opt ~payload ())
   with Skip_record -> None
 
-(* The streaming core: pull records one at a time from [read] (a
-   [Stdlib.input]-style function) into a reused, bounded frame buffer, so
-   arbitrarily large captures decode in memory proportional to the
-   largest record, not the file. *)
-let fold_read ?(strict = false) ?(on_diag = fun (_ : Diag.t) -> ()) ~read ~init
-    f =
-  let records = ref 0
-  and decoded = ref 0
-  and skipped = ref 0
-  and clipped = ref 0 in
-  let emit (d : Diag.t) =
-    on_diag d;
-    if strict && Diag.is_problem d then
-      raise (Decode_error ("Pcap.decode: " ^ d.Diag.message))
+let file_header st ghdr =
+  let magic e =
+    let m = Int32.of_int (get_u32 e ghdr 0) in
+    if Int32.equal m magic_us then Some (e, false)
+    else if Int32.equal m magic_ns then Some (e, true)
+    else None
   in
-  let fatal d =
-    emit d;
-    raise_notrace Stop_reading
-  in
-  let read_upto buf len =
-    let rec go off =
-      if off >= len then off
-      else
-        let n = read buf off (len - off) in
-        if n = 0 then off else go (off + n)
-    in
-    go 0
-  in
-  let acc = ref init in
-  let t_read = if Obs.enabled Obs.default then Tdat_obs.Clock.now_s () else 0. in
-  Tdat_obs.Span.with_ ~name:"pcap-read" @@ fun () ->
-  (* The record buffer is a per-domain arena slot: folds on the same
-     domain (each pool worker streams many captures) reuse one
-     high-water-mark buffer instead of allocating 64 KiB per file. *)
-  Tdat_parallel.Scratch.(with_bytes ~slot:slot_pcap_frame 65536) @@ fun fcell ->
-  (try
-     let ghdr = Bytes.create 24 in
-     let ghdr_s = Slice.of_bytes ghdr in
-     if read_upto ghdr 24 < 24 then
-       fatal (Diag.error ~code:"P002" "truncated header");
-     let raw_le = get_u32 Le ghdr_s 0 in
-     let endian, ns =
-       if Int32.equal (Int32.of_int raw_le) magic_us then (Le, false)
-       else if Int32.equal (Int32.of_int raw_le) magic_ns then (Le, true)
-       else begin
-         let raw_be = get_u32 Be ghdr_s 0 in
-         if Int32.equal (Int32.of_int raw_be) magic_us then (Be, false)
-         else if Int32.equal (Int32.of_int raw_be) magic_ns then (Be, true)
-         else fatal (Diag.error ~code:"P001" "bad magic")
-       end
-     in
-     let link_type = get_u32 endian ghdr_s 20 in
-     if link_type <> 1 then
-       fatal (Diag.error ~code:"P003" "unsupported link type");
-     let rhdr = Bytes.create 16 in
-     let rhdr_s = Slice.of_bytes rhdr in
-     let stop = ref false in
-     while not !stop do
-       let n = read_upto rhdr 16 in
-       if n = 0 then stop := true
-       else if n < 16 then begin
-         emit
-           (Diag.warning ~record:!records ~code:"P004"
-              "truncated record header (%d trailing bytes)" n);
-         stop := true
-       end
-       else begin
-         let incl = get_u32 endian rhdr_s 8 in
-         if incl > max_record_len then begin
-           emit
-             (Diag.warning ~record:!records ~code:"P005"
-                "implausible record length %d" incl);
-           stop := true
-         end
-         else begin
-           let frame = Tdat_parallel.Scratch.ensure fcell incl in
-           let got = read_upto frame incl in
-           if got < incl then begin
-             emit
-               (Diag.warning ~record:!records ~code:"P005" "truncated packet");
-             stop := true
-           end
-           else begin
-             let ts_sec = get_u32 endian rhdr_s 0 in
-             let ts_sub = get_u32 endian rhdr_s 4 in
-             let ts_us = if ns then ts_sub / 1000 else ts_sub in
-             let ts = (ts_sec * 1_000_000) + ts_us in
-             let ri = !records in
-             incr records;
-             Obs.Counter.incr m_records;
-             (* +16: the per-record pcap header travels with the frame. *)
-             Obs.Counter.add m_bytes (incl + 16);
-             Obs.Histogram.observe h_record_bytes (float_of_int incl);
-             match
-               decode_frame ~emit ~clipped ~ri ~ts
-                 (Slice.of_bytes ~len:incl frame)
-             with
-             | Some seg ->
-                 incr decoded;
-                 Obs.Counter.incr m_segments;
-                 acc := f !acc seg
-             | None ->
-                 incr skipped;
-                 Obs.Counter.incr m_skipped
-           end
-         end
-       end
-     done
-   with Stop_reading -> ());
-  if Obs.enabled Obs.default then begin
-    let dt = Tdat_obs.Clock.now_s () -. t_read in
-    if dt > 0. then Obs.Gauge.set g_records_per_s (float_of_int !records /. dt)
-  end;
-  ( !acc,
-    {
-      records = !records;
-      decoded = !decoded;
-      skipped = !skipped;
-      clipped = !clipped;
-    } )
+  if Slice.length ghdr < 24 then Some (Diag.error ~code:"P002" "truncated header")
+  else
+    match Option.fold ~none:(magic Be) ~some:Option.some (magic Le) with
+    | None -> Some (Diag.error ~code:"P001" "bad magic")
+    | Some (endian, _) when get_u32 endian ghdr 20 <> 1 ->
+        Some (Diag.error ~code:"P003" "unsupported link type")
+    | Some (endian, ns) ->
+        st.endian <- endian;
+        st.ns <- ns;
+        None
 
-let reader_of_string data =
-  let pos = ref 0 in
-  fun buf off len ->
-    let n = min len (String.length data - !pos) in
-    Bytes.blit_string data !pos buf off n;
-    pos := !pos + n;
-    n
+let fault (f : Ingest_io.fault) ~record n =
+  match f with
+  | Short_header ->
+      Diag.warning ~record ~code:"P004"
+        "truncated record header (%d trailing bytes)" n
+  | Oversized ->
+      Diag.warning ~record ~code:"P005" "implausible record length %d" n
+  | Short_body -> Diag.warning ~record ~code:"P005" "truncated packet"
 
-let fold_string ?strict ?on_diag data ~init f =
-  fold_read ?strict ?on_diag ~read:(reader_of_string data) ~init f
+let decode_record st ri rhdr frame =
+  let incl = Slice.length frame in
+  let ts_sec = get_u32 st.endian rhdr 0 in
+  let ts_sub = get_u32 st.endian rhdr 4 in
+  let ts_us = if st.ns then ts_sub / 1000 else ts_sub in
+  let ts = (ts_sec * 1_000_000) + ts_us in
+  Obs.Counter.incr m_records;
+  (* +16: the per-record pcap header travels with the frame. *)
+  Obs.Counter.add m_bytes (incl + 16);
+  Obs.Histogram.observe h_record_bytes (float_of_int incl);
+  match decode_frame st ~ri ~ts frame with
+  | Some _ as seg ->
+      st.decoded <- st.decoded + 1;
+      Obs.Counter.incr m_segments;
+      seg
+  | None ->
+      st.skipped <- st.skipped + 1;
+      Obs.Counter.incr m_skipped;
+      None
 
-(* Channel and fd folds share the [Ingest_io] readers: EINTR retried,
-   short reads looped by [read_upto], and — with [~follow] — EOF turned
-   into polling so a still-growing capture can be tailed. *)
-let fold_channel ?strict ?on_diag ?follow ic ~init f =
-  fold_read ?strict ?on_diag ~read:(Ingest_io.of_channel ?follow ic) ~init f
+let format =
+  {
+    Ingest_io.file_header_len = 24;
+    file_header;
+    header_len = 16;
+    body_len = (fun st rhdr -> get_u32 st.endian rhdr 8);
+    max_record_len;
+    fault;
+    decode = decode_record;
+    create =
+      (fun emit ->
+        { emit; endian = Le; ns = false; decoded = 0; skipped = 0; clipped = 0 });
+    stats =
+      (fun st records ->
+        { records; decoded = st.decoded; skipped = st.skipped; clipped = st.clipped });
+    summary =
+      (fun stats ->
+        if stats.clipped = 0 then None
+        else
+          Some
+            (Diag.info ~code:"P011"
+               "%d of %d records snaplen-clipped (captured payload shorter \
+                than the declared TCP length)"
+               stats.clipped stats.records));
+    strict_error = (fun d -> Decode_error ("Pcap.decode: " ^ d.Diag.message));
+    span = (fun f -> Tdat_obs.Span.with_ ~name:"pcap-read" f);
+    records_per_s = Obs.Gauge.make ~stable:false "pcap.records_per_s";
+  }
 
-let fold_fd ?strict ?on_diag ?follow fd ~init f =
-  fold_read ?strict ?on_diag ~read:(Ingest_io.of_fd ?follow fd) ~init f
+let fold_read ?strict ?on_diag ~read ~init f =
+  Ingest_io.fold format ?strict ?on_diag (Reader read) ~init f
 
 let fold_file ?strict ?on_diag ?follow path ~init f =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> fold_channel ?strict ?on_diag ?follow ic ~init f)
+  Ingest_io.fold format ?strict ?on_diag (File (path, follow)) ~init f
 
-let result_of_fold fold =
-  let diags = ref [] in
-  let segs, stats =
-    fold ~on_diag:(fun d -> diags := d :: !diags) ~init:[] (fun acc s ->
-        s :: acc)
-  in
-  let diags = List.rev !diags in
-  let diags =
-    if stats.clipped > 0 then
-      diags
-      @ [
-          Diag.info ~code:"P011"
-            "%d of %d records snaplen-clipped (captured payload shorter than \
-             the declared TCP length)"
-            stats.clipped stats.records;
-        ]
-    else diags
-  in
-  { trace = Trace.of_segments (List.rev segs); diags; stats }
+let result_of (segs, diags, stats) =
+  { trace = Trace.of_segments segs; diags; stats }
 
-let decode_result ?(strict = false) data =
-  result_of_fold (fun ~on_diag ~init f ->
-      fold_string ~strict ~on_diag data ~init f)
+let read_file ?strict ?follow path =
+  result_of (Ingest_io.collect format ?strict (File (path, follow)))
 
-let decode data = (decode_result ~strict:true data).trace
-
-let read_file ?(strict = false) path =
-  result_of_fold (fun ~on_diag ~init f ->
-      fold_file ~strict ~on_diag path ~init f)
-
-let of_file path = (read_file ~strict:true path).trace
+let decode_result ?strict data =
+  result_of
+    (Ingest_io.collect format ?strict (Reader (Ingest_io.of_string data)))
 
 let to_file path trace =
   let oc = open_out_bin path in

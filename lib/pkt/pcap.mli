@@ -19,44 +19,30 @@
     {!Diag.t} ([P0xx] codes, see DESIGN.md "Ingestion robustness") and the
     reader salvages every decodable record — a capture whose final record
     was cut off by killing tcpdump mid-write still yields all prior
-    packets.  [?strict:true] (and the legacy {!decode} / {!of_file})
-    instead fail on the first error- or warning-severity diagnostic.
+    packets.  [?strict:true] instead fails on the first error- or
+    warning-severity diagnostic.
+
+    The record loop, sources, tailing and strict policy are the shared
+    {!Ingest_io} reader; this module contributes the pcap framing and
+    the frame decoder.  Four entry points read: {!fold_read} and
+    {!fold_file} stream segments, {!read_file} and {!decode_result}
+    collect a {!result}.
 
     Sequence numbers are wrapped to 32 bits on write; reads return the raw
     32-bit values (traces produced by this repository never wrap). *)
 
 exception Decode_error of string
-(** Raised on malformed pcap input by {!decode} / {!of_file}, and by the
-    other readers when [~strict:true]. *)
+(** Raised on malformed pcap input by the readers when [~strict:true],
+    as [Decode_error "Pcap.decode: <message>"]. *)
 
 exception Encode_error of string
 (** Raised by {!encode} / {!to_file} on segments that cannot be
     represented in a pcap file (negative timestamps, seconds beyond the
     unsigned 32-bit epoch, payload overflowing the IPv4 total length). *)
 
-(** Typed per-record ingestion diagnostics — the same code/severity/
-    message shape as [Tdat_audit.Diag], kept dependency-free here (the
-    audit library layers on this one; [Tdat_audit.Ingest] lifts these
-    into the audit report). *)
-module Diag : sig
-  type severity = Error | Warning | Info
-
-  type t = {
-    code : string;  (** Stable ingestion code, e.g. ["P005"]. *)
-    severity : severity;
-        (** [Error]: the file is not usable at all (bad magic, truncated
-            global header, unsupported link type).  [Warning]: a record
-            was malformed or truncated; salvage continues around it.
-            [Info]: lossless notes (skipped non-IPv4 frames, VLAN tags,
-            snaplen-clipping summary). *)
-    record : int option;  (** 0-based index of the offending record. *)
-    message : string;
-  }
-
-  val severity_name : severity -> string
-  val is_error : t -> bool
-  val pp : Format.formatter -> t -> unit
-end
+(** Typed per-record ingestion diagnostics ([P0xx] codes); the type
+    is shared with [Tdat_bgp.Mrt.Diag]. *)
+module Diag = Ingest_io.Diag
 
 type stats = {
   records : int;  (** Complete records read. *)
@@ -73,27 +59,12 @@ val encode : Trace.t -> string
 (** Serializes a trace to pcap file bytes.
     @raise Encode_error on unrepresentable segments. *)
 
-val decode : string -> Trace.t
-(** Strict parse of pcap file bytes (both little- and big-endian files,
-    µs or ns resolution; ns timestamps are truncated to µs).
-    @raise Decode_error on malformed input.  Non-TCP packets are
-    skipped. *)
-
 val decode_result : ?strict:bool -> string -> result
-(** Like {!decode} but fault-tolerant by default: salvages every
-    decodable record and reports problems as diagnostics.  [~strict:true]
-    raises {!Decode_error} on the first error/warning diagnostic. *)
-
-val fold_string :
-  ?strict:bool ->
-  ?on_diag:(Diag.t -> unit) ->
-  string ->
-  init:'a ->
-  ('a -> Tcp_segment.t -> 'a) ->
-  'a * stats
-(** [fold_string data ~init f] decodes [data] one record at a time,
-    folding [f] over the TCP segments in capture order.  Diagnostics are
-    streamed to [on_diag] instead of being accumulated. *)
+(** Parse pcap file bytes (both little- and big-endian files, µs or ns
+    resolution; ns timestamps are truncated to µs; non-TCP packets are
+    skipped), salvaging every decodable record and reporting problems
+    as diagnostics.  [~strict:true] raises {!Decode_error} on the first
+    error/warning diagnostic. *)
 
 val fold_read :
   ?strict:bool ->
@@ -102,37 +73,13 @@ val fold_read :
   init:'a ->
   ('a -> Tcp_segment.t -> 'a) ->
   'a * stats
-(** The generic streaming fold every other reader is built on: pull
-    records through an arbitrary {!Ingest_io.read} (a custom transport,
-    an instrumented source in tests).  The fold only ends the capture
+(** [fold_read ~read ~init f] decodes the capture [read] delivers one
+    record at a time, folding [f] over the TCP segments in capture
+    order; diagnostics stream to [on_diag] instead of being
+    accumulated.  [read] is any {!Ingest_io.read}: a pipe or socket
+    ({!Ingest_io.of_fd}), an in-memory capture ({!Ingest_io.of_string}),
+    an instrumented source in tests.  The fold only ends the capture
     when [read] returns [0]. *)
-
-val fold_channel :
-  ?strict:bool ->
-  ?on_diag:(Diag.t -> unit) ->
-  ?follow:Ingest_io.follow ->
-  in_channel ->
-  init:'a ->
-  ('a -> Tcp_segment.t -> 'a) ->
-  'a * stats
-(** Streaming fold over a (buffered, binary) channel in bounded memory:
-    the channel is read record by record into a reused frame buffer that
-    never exceeds the largest record.  Reads are [EINTR]-safe and short
-    reads are looped, so pipes and sockets never truncate a record; with
-    [~follow] (see {!Ingest_io.follow_idle}) EOF polls the source
-    instead of ending the capture — the tailing mode for a still-growing
-    file. *)
-
-val fold_fd :
-  ?strict:bool ->
-  ?on_diag:(Diag.t -> unit) ->
-  ?follow:Ingest_io.follow ->
-  Unix.file_descr ->
-  init:'a ->
-  ('a -> Tcp_segment.t -> 'a) ->
-  'a * stats
-(** {!fold_channel} over a raw descriptor ([Unix.read]) — the right
-    entry point for pipes, sockets and tailed files. *)
 
 val fold_file :
   ?strict:bool ->
@@ -142,16 +89,17 @@ val fold_file :
   init:'a ->
   ('a -> Tcp_segment.t -> 'a) ->
   'a * stats
-(** {!fold_channel} on a freshly opened file, closed on return. *)
+(** {!fold_read} over a freshly opened file, closed on return: read
+    record by record into a reused frame buffer that never exceeds the
+    largest record.  With [~follow] (see {!Ingest_io.follow_idle}) EOF
+    polls the file instead of ending the capture — the tailing mode for
+    a still-growing file. *)
 
 val to_file : string -> Trace.t -> unit
 (** @raise Encode_error on unrepresentable segments. *)
 
-val of_file : string -> Trace.t
-(** Strict streaming read (legacy interface).
-    @raise Decode_error on malformed input. *)
-
-val read_file : ?strict:bool -> string -> result
+val read_file : ?strict:bool -> ?follow:Ingest_io.follow -> string -> result
 (** Streaming read collecting the salvaged trace, all diagnostics (plus a
     final [P011] snaplen-clipping summary when applicable) and counters.
-    Fault-tolerant unless [~strict:true]. *)
+    Fault-tolerant unless [~strict:true]; [~follow] tails a growing
+    file as {!fold_file} does. *)

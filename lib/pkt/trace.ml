@@ -11,7 +11,6 @@ let segments t = Array.to_list t.segments
 let voids t = t.voids
 let length t = Array.length t.segments
 let get t i = t.segments.(i)
-let iter f t = Array.iter f t.segments
 
 let total_bytes t =
   Array.fold_left (fun acc (s : Tcp_segment.t) -> acc + s.len) 0 t.segments
@@ -97,15 +96,6 @@ let split_connection t ~sender ~receiver =
     done;
     { segments = out; voids = t.voids }
   end
-
-let filter f t =
-  { t with segments = Array.of_list (List.filter f (segments t)) }
-
-let merge a b =
-  of_segments ~voids:(Span_set.union a.voids b.voids)
-    (segments a @ segments b)
-
-let append t segs = of_segments ~voids:t.voids (segments t @ segs)
 
 let infer_sender t (a, b) =
   let bytes_from e =

@@ -17,9 +17,6 @@ val get : t -> int -> Tcp_segment.t
 (** [get t i]: the [i]-th segment in time order.  With {!length}, the
     copy-free alternative to {!segments} on hot paths. *)
 
-val iter : (Tcp_segment.t -> unit) -> t -> unit
-(** Visit every segment in time order without materializing a list. *)
-
 val total_bytes : t -> int
 (** Sum of payload lengths. *)
 
@@ -41,10 +38,6 @@ val split_connection : t -> sender:Endpoint.t -> receiver:Endpoint.t -> t
 (** Sub-trace of one connection (both directions); voids inherited.
     One O(packets) scan per call; prefer {!partition_connections} when
     extracting more than one connection. *)
-
-val filter : (Tcp_segment.t -> bool) -> t -> t
-val merge : t -> t -> t
-val append : t -> Tcp_segment.t list -> t
 
 val infer_sender : t -> (Endpoint.t * Endpoint.t) -> Flow.t
 (** For a connection key, orient the flow: the endpoint that contributed

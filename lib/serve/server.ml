@@ -147,45 +147,16 @@ let ingest_follow (f : Protocol.follow) =
 (* Cached when the file is at rest; a tailed ([follow]) read bypasses
    the cache — the file is growing under us, so the snapshot is
    one-shot by definition. *)
-let load_pcap t ~follow path =
+let load cache read ~follow path =
   match follow with
-  | None ->
-      Cache.find_or_load t.caches.pcap path ~load:(fun p ->
-          Tdat_pkt.Pcap.read_file p)
-  | Some f ->
-      let diags = ref [] in
-      let segs, stats =
-        Tdat_pkt.Pcap.fold_file
-          ~on_diag:(fun d -> diags := d :: !diags)
-          ~follow:(ingest_follow f) path ~init:[]
-          (fun acc s -> s :: acc)
-      in
-      ( {
-          Tdat_pkt.Pcap.trace = Tdat_pkt.Trace.of_segments (List.rev segs);
-          diags = List.rev !diags;
-          stats;
-        },
-        false )
+  | None -> Cache.find_or_load cache path ~load:(read None)
+  | Some f -> (read (Some (ingest_follow f)) path, false)
 
-let load_mrt t ~follow path =
-  match follow with
-  | None ->
-      Cache.find_or_load t.caches.mrt path ~load:(fun p ->
-          Tdat_bgp.Mrt.read_file p)
-  | Some f ->
-      let diags = ref [] in
-      let entries, stats =
-        Tdat_bgp.Mrt.fold_file
-          ~on_diag:(fun d -> diags := d :: !diags)
-          ~follow:(ingest_follow f) path ~init:[]
-          (fun acc e -> e :: acc)
-      in
-      ( {
-          Tdat_bgp.Mrt.entries = List.rev entries;
-          diags = List.rev !diags;
-          stats;
-        },
-        false )
+let load_pcap t =
+  load t.caches.pcap (fun follow p -> Tdat_pkt.Pcap.read_file ?follow p)
+
+let load_mrt t =
+  load t.caches.mrt (fun follow p -> Tdat_bgp.Mrt.read_file ?follow p)
 
 let fail_on_pcap_errors (r : Tdat_pkt.Pcap.result) =
   match List.find_opt Tdat_pkt.Pcap.Diag.is_error r.diags with
@@ -241,7 +212,7 @@ let execute_check t st ~path =
   let r, cache_hit, ingest =
     st.stage "serve.decode" (fun () ->
         let r, hit = load_pcap t ~follow:None path in
-        (r, hit, Tdat_audit.Ingest.of_result r))
+        (r, hit, Tdat_audit.Ingest.of_diags ~file:"pcap" r.Tdat_pkt.Pcap.diags))
   in
   let results =
     st.stage "serve.analyze" (fun () ->
@@ -296,15 +267,7 @@ let execute_study t st ~paths ~gap_s ~min_prefixes ~slow_threshold_s ~follow =
         let reports =
           List.map
             (fun (path, mr) ->
-              let fr =
-                Tdat_study.Archive.scan_entries ~config ~source:path
-                  mr.Tdat_bgp.Mrt.entries
-              in
-              {
-                fr with
-                Tdat_study.Archive.diags = mr.Tdat_bgp.Mrt.diags;
-                stats = mr.Tdat_bgp.Mrt.stats;
-              })
+              Tdat_study.Archive.scan_result ~config ~source:path mr)
             loaded
         in
         Tdat_study.Aggregate.of_reports ?slow_threshold_s reports)

@@ -23,18 +23,10 @@ let scan_file ?(strict = false) ?config path =
     stats;
   }
 
-let scan_entries ?config ?(source = "") entries =
-  let transfers = Detect.over_entries ?config ~source entries in
-  let count f = List.length (List.filter f entries) in
+let scan_result ?config ~source (r : Mrt.result) =
   {
     path = source;
-    transfers;
-    diags = [];
-    stats =
-      {
-        Mrt.records = List.length entries;
-        bgp_messages = count (function Mrt.Message _ -> true | Mrt.State _ -> false);
-        state_changes = count (function Mrt.State _ -> true | Mrt.Message _ -> false);
-        skipped = 0;
-      };
+    transfers = Detect.over_entries ?config ~source r.entries;
+    diags = r.diags;
+    stats = r.stats;
   }

@@ -14,7 +14,8 @@ val scan_file :
 (** Salvages by default; [~strict:true] raises
     [Tdat_bgp.Bgp_error.Decode_error] on the first malformed record. *)
 
-val scan_entries :
-  ?config:Detect.config -> ?source:string -> Tdat_bgp.Mrt.entry list ->
-  file_report
-(** In-memory variant for already-decoded entries (no diagnostics). *)
+val scan_result :
+  ?config:Detect.config -> source:string -> Tdat_bgp.Mrt.result -> file_report
+(** In-memory variant over an archive already read whole
+    ([Tdat_bgp.Mrt.read_file], [decode_result]): its entries through the
+    detector, its diagnostics and counters as read. *)

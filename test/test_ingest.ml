@@ -9,6 +9,9 @@ module Seg = Tcp_segment
 module Reasm = Tdat_bgp.Stream_reassembly
 module Scenario = Tdat_bgpsim.Scenario
 
+(* Strict whole-buffer decode: the trace, or [Pcap.Decode_error]. *)
+let decode_strict data = (Pcap.decode_result ~strict:true data).Pcap.trace
+
 let ep1 = Endpoint.of_quad 192 168 1 1 12345
 let ep2 = Endpoint.of_quad 10 0 0 2 179
 
@@ -94,7 +97,7 @@ let test_truncated_final_record () =
   Alcotest.(check (list string)) "warning severity" [ "warning" ] (severities r);
   Alcotest.check_raises "strict still fails"
     (Pcap.Decode_error "Pcap.decode: truncated packet") (fun () ->
-      ignore (Pcap.decode cut))
+      ignore (decode_strict cut))
 
 let test_trailing_record_header () =
   let data = Pcap.encode (Trace.of_segments (three_data_segs ())) in
@@ -115,7 +118,7 @@ let test_fatal_errors () =
   Alcotest.(check (list string)) "unsupported link type" [ "P003" ] (codes r);
   Alcotest.check_raises "strict link type"
     (Pcap.Decode_error "Pcap.decode: unsupported link type") (fun () ->
-      ignore (Pcap.decode (patch data 20 101)))
+      ignore (decode_strict (patch data 20 101)))
 
 (* --- malformed headers skip the record, salvage the rest --------------- *)
 
@@ -226,7 +229,7 @@ let test_snaplen_clipped_capture () =
     (Trace.total_bytes clipped.Pcap.trace);
   (* Clipping is not a decode problem: strict mode accepts it too. *)
   Alcotest.(check int) "strict decode works" 3
-    (Trace.length (Pcap.decode (clip_capture 54 data)));
+    (Trace.length (decode_strict (clip_capture 54 data)));
   (* Reassembly zero-fills the missing tails and keeps offsets exact. *)
   let data_segs tr =
     List.filter
@@ -290,7 +293,7 @@ let test_timestamp_encoding () =
   (* Post-2038 seconds (>= 2^31) round-trip through the unsigned field. *)
   let ts = (2_200_000_000 * 1_000_000) + 123 in
   let t = Trace.of_segments [ seg ~ts ~payload:"x" ~src:ep1 ~dst:ep2 () ] in
-  (match Trace.segments (Pcap.decode (Pcap.encode t)) with
+  (match Trace.segments (decode_strict (Pcap.encode t)) with
   | [ s ] -> Alcotest.(check int) "post-2038 ts round-trips" ts s.Seg.ts
   | _ -> Alcotest.fail "expected one segment");
   let rejects ts =
@@ -308,7 +311,7 @@ let test_timestamp_encoding () =
 let test_audit_ingest_lifting () =
   let data = Pcap.encode (Trace.of_segments (three_data_segs ())) in
   let r = Pcap.decode_result (String.sub data 0 (String.length data - 10)) in
-  match Tdat_audit.Ingest.of_result r with
+  match Tdat_audit.Ingest.of_diags ~file:"pcap" r.Pcap.diags with
   | [ d ] ->
       Alcotest.(check string) "code preserved" "P005" d.Tdat_audit.Diag.code;
       Alcotest.(check bool) "warning severity" true
@@ -333,7 +336,7 @@ let test_clipped_scenario_equivalence () =
   let o = List.hd result.Scenario.outcomes in
   let full_bytes = Pcap.encode o.Scenario.trace in
   Alcotest.(check bool) "decode/encode byte-exact on simulator output" true
-    (String.equal (Pcap.encode (Pcap.decode full_bytes)) full_bytes);
+    (String.equal (Pcap.encode (decode_strict full_bytes)) full_bytes);
   (* tcpdump -s 58 keeps Ethernet + IPv4 + TCP incl. the MSS option. *)
   let full = Pcap.decode_result full_bytes in
   let clipped = Pcap.decode_result (clip_capture 58 full_bytes) in
@@ -389,7 +392,8 @@ let fold_segments fold = fold ~init:[] (fun acc s -> s :: acc)
 
 let check_same_capture label data (got, (gstats : Pcap.stats)) =
   let expected, (estats : Pcap.stats) =
-    fold_segments (fun ~init f -> Pcap.fold_string data ~init f)
+    fold_segments (fun ~init f ->
+        Pcap.fold_read ~read:(Ingest_io.of_string data) ~init f)
   in
   Alcotest.(check string)
     (label ^ ": identical segments")
@@ -419,7 +423,10 @@ let test_pipe_fed_stream () =
         done;
         Unix.close w)
   in
-  let got = fold_segments (fun ~init f -> Pcap.fold_fd r ~init f) in
+  let got =
+    fold_segments (fun ~init f ->
+        Pcap.fold_read ~read:(Ingest_io.of_read (Unix.read r)) ~init f)
+  in
   Domain.join writer;
   Unix.close r;
   check_same_capture "pipe-fed" data got
@@ -486,13 +493,63 @@ let test_follow_tailed_file () =
   check_same_capture "tailed" data got;
   Sys.remove path
 
+(* Write the first half of [data] to a fresh file, append the rest from
+   another domain 0.1 s later, and run [read] on the path meanwhile; the
+   finished file is then read again at rest.  Returns both results. *)
+let tail_while_growing ~suffix data read =
+  let path = Filename.temp_file "tdat_tail_eq" suffix in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let cut = String.length data / 2 in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (String.sub data 0 cut));
+      let writer =
+        Domain.spawn (fun () ->
+            Unix.sleepf 0.1;
+            let oc = open_out_gen [ Open_append; Open_binary ] 0o600 path in
+            output_string oc (String.sub data cut (String.length data - cut));
+            close_out oc)
+      in
+      let follow = Ingest_io.follow_idle ~limit_s:30. ~idle_s:0.3 () in
+      let tailed = read (Some follow) path in
+      Domain.join writer;
+      (tailed, read None path))
+
+let test_follow_read_file_equivalence () =
+  (* [read_file ~follow] on a growing capture must return exactly what
+     [read_file] returns on the finished one — the trace, every
+     diagnostic (the closing P011 snaplen summary included) and the
+     counters — for a clean, a snaplen-clipped and a truncated capture. *)
+  let data = scenario_capture ~seed:64 ~prefixes:400 in
+  List.iter
+    (fun (label, data, summary) ->
+      let tailed, at_rest =
+        tail_while_growing ~suffix:".pcap" data (fun follow path ->
+            Pcap.read_file ?follow path)
+      in
+      Alcotest.(check (list string)) (label ^ ": P011 summary") summary
+        (List.filter (String.equal "P011") (codes tailed));
+      Alcotest.(check string) (label ^ ": same trace")
+        (Pcap.encode at_rest.Pcap.trace) (Pcap.encode tailed.Pcap.trace);
+      Alcotest.(check (list string)) (label ^ ": same diagnostics")
+        (List.map (Format.asprintf "%a" Pcap.Diag.pp) at_rest.Pcap.diags)
+        (List.map (Format.asprintf "%a" Pcap.Diag.pp) tailed.Pcap.diags);
+      Alcotest.(check bool) (label ^ ": same stats") true
+        (tailed.Pcap.stats = at_rest.Pcap.stats))
+    [
+      ("clean", data, []);
+      ("clipped", clip_capture 58 data, [ "P011" ]);
+      ("truncated", String.sub data 0 (String.length data - 10), []);
+    ]
+
 let arb_trace = QCheck.list_of_size (QCheck.Gen.int_range 0 20) Test_pkt.arb_segment
 
 let qcheck_suite =
   [
     prop "decode . encode is byte-exact" arb_trace (fun segs ->
         let data = Pcap.encode (Trace.of_segments segs) in
-        String.equal (Pcap.encode (Pcap.decode data)) data);
+        String.equal (Pcap.encode (decode_strict data)) data);
     prop "snaplen clipping preserves seq/len accounting"
       (QCheck.pair arb_trace (QCheck.int_range 54 400))
       (fun (segs, snaplen) ->
@@ -534,5 +591,7 @@ let suite =
     Alcotest.test_case "pipe-fed stream" `Quick test_pipe_fed_stream;
     Alcotest.test_case "EINTR retry" `Quick test_eintr_retry;
     Alcotest.test_case "tailed growing file" `Quick test_follow_tailed_file;
+    Alcotest.test_case "follow read_file = read_file at rest" `Quick
+      test_follow_read_file_equivalence;
   ]
   @ qcheck_suite

@@ -433,6 +433,52 @@ let test_in_lib_path_forms () =
       Alcotest.(check bool) (p ^ " is not lib") false (Tdat_lint.Ident.in_lib p))
     no
 
+(* --- L009 coverage follows the code ---------------------------------------- *)
+
+(* The top-level value names an implementation binds. *)
+let toplevel_names path =
+  let src = In_channel.with_open_bin path In_channel.input_all in
+  let str = Parse.implementation (Lexing.from_string src) in
+  List.concat_map
+    (fun (item : Parsetree.structure_item) ->
+      match item.pstr_desc with
+      | Pstr_value (_, vbs) ->
+          List.filter_map
+            (fun (vb : Parsetree.value_binding) ->
+              match vb.pvb_pat.ppat_desc with
+              | Ppat_var { txt; _ }
+              | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) ->
+                  Some txt
+              | _ -> None)
+            vbs
+      | _ -> [])
+    str
+
+(* A hot-path entry naming a function that was renamed or deleted
+   matches nothing, and L009 coverage silently disappears with it: every
+   named binding must exist at the top level of its library module. *)
+let test_l009_hot_paths_name_real_bindings () =
+  let lib_files = Tdat_lint.Engine.ml_files_under (Filename.concat ".." "lib") in
+  List.iter
+    (fun (modname, scope) ->
+      let files =
+        List.filter
+          (fun f -> String.equal (Tdat_lint.Ident.module_of_path f) modname)
+          lib_files
+      in
+      Alcotest.(check bool) (modname ^ " is a lib module") true (files <> []);
+      match (scope : Tdat_lint.Rules_file.hot_scope) with
+      | All -> ()
+      | Funcs fs ->
+          let names = List.concat_map toplevel_names files in
+          List.iter
+            (fun fn ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s.%s is a top-level binding" modname fn)
+                true (List.mem fn names))
+            fs)
+    Tdat_lint.Rules_file.default_hot_paths
+
 let suite =
   [
     Alcotest.test_case "bad fixture reports every code" `Quick
@@ -460,6 +506,8 @@ let suite =
       test_l009_hot_path;
     Alcotest.test_case "L009: silent outside the hot set" `Quick
       test_l009_silent_outside_hot_set;
+    Alcotest.test_case "L009: default hot paths name real bindings" `Quick
+      test_l009_hot_paths_name_real_bindings;
     Alcotest.test_case "L011: malformed and dynamic names" `Quick
       test_l011_both_shapes_reported;
     Alcotest.test_case "L011: allow fence honored" `Quick

@@ -3,6 +3,9 @@
 open Tdat_pkt
 module Seg = Tcp_segment
 
+(* Strict whole-buffer decode: the trace, or [Pcap.Decode_error]. *)
+let decode_strict data = (Pcap.decode_result ~strict:true data).Pcap.trace
+
 let ep1 = Endpoint.of_quad 192 168 1 1 12345
 let ep2 = Endpoint.of_quad 10 0 0 2 179
 
@@ -135,7 +138,7 @@ let test_pcap_roundtrip () =
     ]
   in
   let t = Trace.of_segments segs in
-  let decoded = Pcap.decode (Pcap.encode t) in
+  let decoded = decode_strict (Pcap.encode t) in
   Alcotest.(check int) "packet count" 4 (Trace.length decoded);
   let d = List.nth (Trace.segments decoded) 2 in
   Alcotest.(check string) "payload survives" "table transfer" d.Seg.payload;
@@ -148,10 +151,10 @@ let test_pcap_roundtrip () =
 
 let test_pcap_rejects_garbage () =
   Alcotest.check_raises "bad magic" (Pcap.Decode_error "Pcap.decode: bad magic")
-    (fun () -> ignore (Pcap.decode (String.make 32 'z')));
+    (fun () -> ignore (decode_strict (String.make 32 'z')));
   Alcotest.check_raises "truncated"
     (Pcap.Decode_error "Pcap.decode: truncated header") (fun () ->
-      ignore (Pcap.decode "abc"))
+      ignore (decode_strict "abc"))
 
 let test_pcap_file_io () =
   let t =
@@ -162,7 +165,7 @@ let test_pcap_file_io () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Pcap.to_file path t;
-      let back = Pcap.of_file path in
+      let back = (Pcap.read_file ~strict:true path).Pcap.trace in
       Alcotest.(check int) "read back" 1 (Trace.length back))
 
 let prop name arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:100 arb f)
@@ -190,7 +193,7 @@ let qcheck_suite =
       (QCheck.list_of_size (QCheck.Gen.int_range 0 20) arb_segment)
       (fun segs ->
         let t = Trace.of_segments segs in
-        let back = Pcap.decode (Pcap.encode t) in
+        let back = decode_strict (Pcap.encode t) in
         List.for_all2
           (fun (a : Seg.t) (b : Seg.t) ->
             a.Seg.ts = b.Seg.ts && a.Seg.seq = b.Seg.seq

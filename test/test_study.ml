@@ -7,6 +7,11 @@
 open Tdat_bgp
 module Study = Tdat_study
 
+(* Strict whole-buffer decode keeping the BGP messages only: the
+   records, or [Bgp_error.Decode_error]. *)
+let decode_strict data =
+  Mrt.messages (Mrt.decode_result ~strict:true data).Mrt.entries
+
 (* The subprocess tests must work both from the test stanza's runtest
    (cwd [_build/default/test]) and from the root-level [@study-smoke]
    alias (cwd [_build/default]), so locate sibling executables relative
@@ -80,7 +85,7 @@ let test_entry_roundtrip () =
   Alcotest.(check int) "skipped" 0 r.Mrt.stats.Mrt.skipped
 
 let test_legacy_decode_skips_state_changes () =
-  let records = Mrt.decode (Mrt.encode_entries sample_entries) in
+  let records = decode_strict (Mrt.encode_entries sample_entries) in
   Alcotest.(check int) "messages only" 3 (List.length records);
   Alcotest.(check bool) "same as messages" true
     (records = Mrt.messages sample_entries)
@@ -93,7 +98,7 @@ let codes (r : Mrt.result) =
 let has_code c r = List.exists (fun x -> String.equal x c) (codes r)
 
 let strict_message data =
-  match Mrt.decode data with
+  match decode_strict data with
   | _ -> None
   | exception Bgp_error.Decode_error { context; message } ->
       Some (context, message)
@@ -187,7 +192,7 @@ let test_unsupported_type_skipped () =
          | Mrt.Diag.Error | Mrt.Diag.Warning -> false)
        r.Mrt.diags);
   Alcotest.(check int) "strict still decodes" 2
-    (List.length (Mrt.decode data))
+    (List.length (decode_strict data))
 
 let test_bad_state_change () =
   let body = Buffer.create 64 in
@@ -227,13 +232,14 @@ let test_fold_file_matches_decode_result () =
   Alcotest.(check bool) "same entries" true
     (List.rev entries = sample_entries);
   Alcotest.(check int) "records" 5 stats.Mrt.records;
-  Alcotest.(check bool) "of_file messages" true
-    (Mrt.of_file path = Mrt.messages sample_entries)
+  Alcotest.(check bool) "strict read_file messages" true
+    (Mrt.messages (Mrt.read_file ~strict:true path).Mrt.entries
+    = Mrt.messages sample_entries)
 
-let test_fold_fd_pipe_fed () =
+let test_fold_read_pipe_fed () =
   (* A pipe delivers the archive in dribs and drabs — short reads land
      mid-header and mid-record, and the writer pacing makes some reads
-     return nothing yet.  [fold_fd] must reassemble every record. *)
+     return nothing yet.  [fold_read] over the descriptor must reassemble every record. *)
   let archive =
     Mrt.encode_entries
       (List.concat_map
@@ -261,12 +267,57 @@ let test_fold_fd_pipe_fed () =
         done;
         Unix.close w)
   in
-  let entries, stats = Mrt.fold_fd r ~init:[] (fun acc e -> e :: acc) in
+  let entries, stats = Mrt.fold_read ~read:(Tdat_pkt.Ingest_io.of_read (Unix.read r)) ~init:[] (fun acc e -> e :: acc) in
   Domain.join writer;
   Unix.close r;
   Alcotest.(check int) "all records seen" 120 stats.Mrt.records;
   Alcotest.(check bool) "byte-identical re-encode" true
     (String.equal (Mrt.encode_entries (List.rev entries)) archive)
+
+let test_follow_read_file_equivalence () =
+  (* [read_file ~follow] on a growing archive must return exactly what
+     [read_file] returns on the finished one — entries, diagnostics and
+     counters — for a clean archive, one with a skipped record, and one
+     cut off mid-record. *)
+  let archive =
+    Mrt.encode_entries
+      (List.concat_map
+         (fun k ->
+           [
+             state (k * 1_000_000) Mrt.Open_confirm Mrt.Established;
+             message ((k * 1_000_000) + 10_000) (update_msg (k * 50) 50);
+           ])
+         (List.init 30 Fun.id))
+  in
+  (* An unsupported record type (M005) spliced in after the first
+     record. *)
+  let first = 12 + 20 + 4 in
+  let unsupported = "\000\000\000\001\000\013\000\000\000\000\000\000" in
+  List.iter
+    (fun (label, data, expected) ->
+      let tailed, at_rest =
+        Test_ingest.tail_while_growing ~suffix:".mrt" data (fun follow path ->
+            Mrt.read_file ?follow path)
+      in
+      Alcotest.(check (list string)) (label ^ ": diagnostics") expected
+        (codes tailed);
+      Alcotest.(check bool) (label ^ ": same entries") true
+        (String.equal
+           (Mrt.encode_entries tailed.Mrt.entries)
+           (Mrt.encode_entries at_rest.Mrt.entries));
+      Alcotest.(check (list string)) (label ^ ": same diagnostics")
+        (List.map (Format.asprintf "%a" Mrt.Diag.pp) at_rest.Mrt.diags)
+        (List.map (Format.asprintf "%a" Mrt.Diag.pp) tailed.Mrt.diags);
+      Alcotest.(check bool) (label ^ ": same stats") true
+        (tailed.Mrt.stats = at_rest.Mrt.stats))
+    [
+      ("clean", archive, []);
+      ( "skipped",
+        String.sub archive 0 first ^ unsupported
+        ^ String.sub archive first (String.length archive - first),
+        [ "M005" ] );
+      ("truncated", String.sub archive 0 (String.length archive - 5), [ "M002" ]);
+    ]
 
 (* --- qcheck: entry codec under random archives ---------------------------- *)
 
@@ -748,7 +799,9 @@ let suite =
       test_oversized_record;
     Alcotest.test_case "fold_file streaming" `Quick
       test_fold_file_matches_decode_result;
-    Alcotest.test_case "fold_fd pipe-fed stream" `Quick test_fold_fd_pipe_fed;
+    Alcotest.test_case "fold_read pipe-fed stream" `Quick test_fold_read_pipe_fed;
+    Alcotest.test_case "follow read_file = read_file at rest" `Quick
+      test_follow_read_file_equivalence;
     qcheck_roundtrip;
     Alcotest.test_case "detector: anchored start" `Quick test_detect_anchored;
     Alcotest.test_case "detector: quiet-gap split" `Quick
