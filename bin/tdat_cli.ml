@@ -71,20 +71,31 @@ let mrt_records mrt_result =
       Tdat_bgp.Mrt.messages mr.Tdat_bgp.Mrt.entries)
     mrt_result
 
-(* Malformed input is a user error (exit 2), not an internal error. *)
-let with_decode_errors f =
-  match f () with
-  | status -> status
-  | exception Tdat_pkt.Pcap.Decode_error msg ->
-      Printf.eprintf "tdat: %s\n" msg;
+(* Malformed input is a user error (exit 2), not an internal error.  So
+   is an input that cannot be read at all: cmdliner's [file] converter
+   admits a directory, which only fails once it is read. *)
+let with_decode_errors ~inputs f =
+  let is_dir p = try Sys.is_directory p with Sys_error _ -> false in
+  match List.find_opt is_dir inputs with
+  | Some dir ->
+      Printf.eprintf "tdat: %s: is a directory, not a file\n" dir;
       2
-  | exception Tdat_bgp.Bgp_error.Decode_error { context; message } ->
-      Printf.eprintf "tdat: %s: %s\n" context message;
-      2
+  | None -> (
+      match f () with
+      | status -> status
+      | exception Sys_error msg ->
+          Printf.eprintf "tdat: %s\n" msg;
+          2
+      | exception Tdat_pkt.Pcap.Decode_error msg ->
+          Printf.eprintf "tdat: %s\n" msg;
+          2
+      | exception Tdat_bgp.Bgp_error.Decode_error { context; message } ->
+          Printf.eprintf "tdat: %s: %s\n" context message;
+          2)
 
 let analyze_file obs pcap_path mrt_path show_series sender_side jobs strict =
   Tdat_obs_cli.with_obs obs @@ fun () ->
-  with_decode_errors @@ fun () ->
+  with_decode_errors ~inputs:(pcap_path :: Option.to_list mrt_path) @@ fun () ->
   match load ~strict pcap_path mrt_path sender_side with
   | None -> 2
   | Some (r, mrt_result, config) ->
@@ -118,7 +129,7 @@ let verify_determinism_diags ~config ~mrt ~jobs trace =
 
 let check_file obs pcap_path mrt_path sender_side jobs strict verify_det =
   Tdat_obs_cli.with_obs obs @@ fun () ->
-  with_decode_errors @@ fun () ->
+  with_decode_errors ~inputs:(pcap_path :: Option.to_list mrt_path) @@ fun () ->
   match load ~strict pcap_path mrt_path sender_side with
   | None -> 2
   | Some (r, mrt_result, config) ->
@@ -187,7 +198,7 @@ let check_file obs pcap_path mrt_path sender_side jobs strict verify_det =
 let study_files obs paths jobs strict gap_s min_prefixes slow_threshold_s json
     no_plot =
   Tdat_obs_cli.with_obs obs @@ fun () ->
-  with_decode_errors @@ fun () ->
+  with_decode_errors ~inputs:paths @@ fun () ->
   let config =
     {
       Tdat_study.Detect.quiet_gap = Tdat_timerange.Time_us.of_s gap_s;

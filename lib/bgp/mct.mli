@@ -53,6 +53,8 @@ val transfer_end_of_reasm :
     [transfer_end ~start (of_timed_msgs (Msg_reader.extract reasm))]:
     one pass over the contiguous stream, validating messages exactly as
     the decoder would and folding announced prefixes as packed ints —
-    no intermediate messages, prefix values, or lists are built.  The
-    answer is identical to the three-stage pipeline (checked by the
-    decode-equivalence tests). *)
+    no intermediate messages, prefix values, or lists are built.  Time
+    is linear in the stream, and the prefix set is sized once from the
+    stream's length, so its memory is at most a constant factor of the
+    stream's (see [mct.ml]).  The answer is identical to the
+    three-stage pipeline (checked by the decode-equivalence tests). *)

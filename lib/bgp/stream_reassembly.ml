@@ -9,8 +9,12 @@ type t = {
   mutable received : (int * int) list;
       (* Sorted disjoint [lo, hi) intervals of received stream offsets. *)
   mutable frontier : int; (* First offset not yet contiguous. *)
-  mutable deliveries : (int * Tdat_timerange.Time_us.t) list;
-      (* Reverse-ordered (new_frontier, time) frontier advances. *)
+  mutable adv_hi : int array;
+  mutable adv_ts : Tdat_timerange.Time_us.t array;
+      (* Frontier advances in order: the frontier became [adv_hi.(i)] at
+         [adv_ts.(i)].  [adv_hi] is strictly ascending, so a delivery
+         time is one binary search.  Slots from [n_adv] on are unused. *)
+  mutable n_adv : int;
   mutable duplicate_bytes : int;
 }
 
@@ -23,7 +27,9 @@ let create ?scratch () =
     scratch;
     received = [];
     frontier = 0;
-    deliveries = [];
+    adv_hi = Array.make 16 0;
+    adv_ts = Array.make 16 0;
+    n_adv = 0;
     duplicate_bytes = 0;
   }
 
@@ -40,6 +46,21 @@ let ensure_capacity t needed =
         let bigger = Bytes.create !cap' in
         Bytes.blit t.data 0 bigger 0 cap;
         t.data <- bigger
+
+let record_advance t hi ts =
+  let n = t.n_adv in
+  if n = Array.length t.adv_hi then begin
+    let grow a =
+      let bigger = Array.make (2 * n) 0 in
+      Array.blit a 0 bigger 0 n;
+      bigger
+    in
+    t.adv_hi <- grow t.adv_hi;
+    t.adv_ts <- grow t.adv_ts
+  end;
+  t.adv_hi.(n) <- hi;
+  t.adv_ts.(n) <- ts;
+  t.n_adv <- n + 1
 
 (* Insert [lo, hi) into the sorted disjoint interval list, returning the
    new list and the number of bytes that were already present. *)
@@ -80,7 +101,7 @@ let feed ?(rebase = 0) t (seg : Tdat_pkt.Tcp_segment.t) =
     match t.received with
     | (0, hi0) :: _ when hi0 > t.frontier ->
         t.frontier <- hi0;
-        t.deliveries <- (hi0, seg.ts) :: t.deliveries
+        record_advance t hi0 seg.ts
     | _ -> ()
   end
 
@@ -100,15 +121,17 @@ let contiguous_slice t = Tdat_pkt.Slice.of_bytes ~len:t.frontier t.data
 let delivery_time t off =
   if off >= t.frontier then
     invalid_arg "Stream_reassembly.delivery_time: offset beyond frontier";
-  (* deliveries are reverse-ordered by frontier; find the earliest advance
-     covering [off]. *)
-  let rec search best = function
-    | [] -> best
-    | (hi, ts) :: rest -> if hi > off then search ts rest else best
-  in
-  match t.deliveries with
-  | [] -> invalid_arg "Stream_reassembly.delivery_time: no deliveries"
-  | (_, latest) :: _ -> search latest t.deliveries
+  if t.n_adv = 0 then
+    invalid_arg "Stream_reassembly.delivery_time: no deliveries";
+  (* The earliest advance covering [off]: the first [i] with
+     [adv_hi.(i) > off].  The last advance is the frontier, which covers
+     every valid [off], so the search always lands inside the array. *)
+  let lo = ref 0 and hi = ref (t.n_adv - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.adv_hi.(mid) > off then hi := mid else lo := mid + 1
+  done;
+  t.adv_ts.(!lo)
 
 let total_gaps t =
   match t.received with

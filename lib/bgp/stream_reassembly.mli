@@ -36,6 +36,10 @@ val contiguous_length : t -> int
 
 val delivery_time : t -> int -> Tdat_timerange.Time_us.t
 (** [delivery_time t off]: when the byte at [off] became deliverable.
+    The reassembler indexes every advance of the contiguous frontier in
+    two ascending arrays as it is fed, so a lookup is a binary search:
+    O(log a) for [a] advances, and extracting all [m] messages of a
+    stream costs O(m log a) rather than O(m * a).
     @raise Invalid_argument if [off >= contiguous_length t]. *)
 
 val total_gaps : t -> int

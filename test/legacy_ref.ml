@@ -675,3 +675,125 @@ let mrt_decode_result ?(strict = false) s =
       (fun acc e -> e :: acc)
   in
   { M.entries = List.rev entries; diags = List.rev !diags; stats }
+
+(* --- legacy L-method knee ---------------------------------------------- *)
+
+(* The exhaustive O(n^2) split search [Tdat_stats.Knee.l_method] ran
+   before its prefix-sum rewrite: every split refits both halves from
+   fresh [Array.sub] copies. *)
+
+type knee_fit = { slope : float; intercept : float; rmse : float }
+
+let knee_linear_fit points =
+  let n = Array.length points in
+  if n < 2 then invalid_arg "Knee.linear_fit: need at least 2 points";
+  let fn = float_of_int n in
+  let sx = ref 0. and sy = ref 0. and sxx = ref 0. and sxy = ref 0. in
+  Array.iter
+    (fun (x, y) ->
+      sx := !sx +. x;
+      sy := !sy +. y;
+      sxx := !sxx +. (x *. x);
+      sxy := !sxy +. (x *. y))
+    points;
+  let denom = (fn *. !sxx) -. (!sx *. !sx) in
+  let slope =
+    if abs_float denom < 1e-12 then 0.
+    else ((fn *. !sxy) -. (!sx *. !sy)) /. denom
+  in
+  let intercept = (!sy -. (slope *. !sx)) /. fn in
+  let se = ref 0. in
+  Array.iter
+    (fun (x, y) ->
+      let e = y -. ((slope *. x) +. intercept) in
+      se := !se +. (e *. e))
+    points;
+  { slope; intercept; rmse = sqrt (!se /. fn) }
+
+let knee_l_method points =
+  let n = Array.length points in
+  if n < 4 then None
+  else begin
+    let fn = float_of_int n in
+    let best = ref None in
+    for c = 2 to n - 2 do
+      let left = Array.sub points 0 c in
+      let right = Array.sub points c (n - c) in
+      let fl = knee_linear_fit left and fr = knee_linear_fit right in
+      let cost =
+        (float_of_int c /. fn *. fl.rmse)
+        +. (float_of_int (n - c) /. fn *. fr.rmse)
+      in
+      match !best with
+      | Some (_, best_cost) when best_cost <= cost -> ()
+      | _ -> best := Some (c, cost)
+    done;
+    match !best with
+    | None -> None
+    | Some (c, _) ->
+        let x, _ = points.(c - 1) in
+        Some (c - 1, x)
+  end
+
+let knee_of_sorted values =
+  match values with
+  | [] | [ _ ] | [ _; _ ] | [ _; _; _ ] -> None
+  | _ ->
+      let a = Array.of_list values in
+      Array.sort Float.compare a;
+      let points = Array.mapi (fun i v -> (float_of_int i, v)) a in
+      (match knee_l_method points with
+      | None -> None
+      | Some (i, _) -> Some a.(i))
+
+(* --- legacy delivery times --------------------------------------------- *)
+
+(* [Stream_reassembly]'s frontier bookkeeping before the delivery index:
+   a sorted interval list of received ranges, the frontier, and the
+   reverse-ordered list of (new frontier, time) advances that
+   [delivery_time] walked once per lookup. *)
+
+type reasm = {
+  mutable received : (int * int) list;
+  mutable frontier : int;
+  mutable deliveries : (int * Tdat_timerange.Time_us.t) list;
+}
+
+let reasm_create () = { received = []; frontier = 0; deliveries = [] }
+
+let insert_interval intervals lo hi =
+  let rec go acc overlap lo hi = function
+    | [] -> (List.rev ((lo, hi) :: acc), overlap)
+    | (a, b) :: rest when b < lo -> go ((a, b) :: acc) overlap lo hi rest
+    | (a, b) :: rest when hi < a ->
+        (List.rev_append acc ((lo, hi) :: (a, b) :: rest), overlap)
+    | (a, b) :: rest ->
+        let ov = max 0 (min hi b - max lo a) in
+        go acc (overlap + ov) (min lo a) (max hi b) rest
+  in
+  go [] 0 lo hi intervals
+
+let reasm_feed t (seg : Seg.t) =
+  if seg.len > 0 then begin
+    let lo = seg.seq in
+    let hi = lo + seg.len in
+    if lo < 0 then invalid_arg "Stream_reassembly.feed: negative offset";
+    let received, _ = insert_interval t.received lo hi in
+    t.received <- received;
+    match t.received with
+    | (0, hi0) :: _ when hi0 > t.frontier ->
+        t.frontier <- hi0;
+        t.deliveries <- (hi0, seg.ts) :: t.deliveries
+    | _ -> ()
+  end
+
+let delivery_time t off =
+  if off >= t.frontier then
+    invalid_arg "Stream_reassembly.delivery_time: offset beyond frontier";
+  let rec search best = function
+    | [] -> best
+    | (hi, ts) :: rest -> if hi > off then search ts rest else best
+  in
+  match t.deliveries with
+  | [] -> invalid_arg "Stream_reassembly.delivery_time: no deliveries"
+  | (_, latest) :: _ -> search latest t.deliveries

@@ -287,6 +287,173 @@ let transfer_props =
       (check (Some tight_config));
   ]
 
+(* --- fused NLRI pass on truncated and corrupted streams ------------------
+
+   The streaming scan validates each NLRI and packs its prefixes in one
+   walk.  Cut the stream partway through a message, or corrupt a
+   prefix-length byte inside an NLRI section (sometimes to a valid
+   length, which shifts every later prefix), and the scan must still
+   stop, count and time exactly where extract-then-scan does. *)
+
+(* Absolute offsets of every UPDATE's NLRI section in [stream]. *)
+let nlri_sections stream =
+  let u16 o = (Char.code stream.[o] lsl 8) lor Char.code stream.[o + 1] in
+  let rec go off acc =
+    if off + Msg.header_size > String.length stream then List.rev acc
+    else
+      let total = u16 (off + 16) in
+      let acc =
+        if Char.code stream.[off + 18] = 2 then
+          let wlen = u16 (off + 19) in
+          let alen = u16 (off + 21 + wlen) in
+          let lo = off + 23 + wlen + alen in
+          if lo < off + total then (lo, off + total) :: acc else acc
+        else acc
+      in
+      go (off + total) acc
+  in
+  go 0 []
+
+let gen_damaged_transfer_trace =
+  QCheck.Gen.(
+    let* n_msgs = int_range 1 40 in
+    let* msgs =
+      list_repeat n_msgs
+        (frequency
+           [
+             ( 8,
+               let* nlri = list_size (int_range 0 8) gen_prefix in
+               return (Msg.update ~nlri ()) );
+             (1, return Msg.Keepalive);
+           ])
+    in
+    let* dup = bool in
+    let msgs = if dup then msgs @ msgs else msgs in
+    let stream = String.concat "" (List.map Msg.encode msgs) in
+    let sections = Array.of_list (nlri_sections stream) in
+    let* stream =
+      if Array.length sections = 0 then return stream
+      else
+        let* lo, hi = oneofa sections in
+        let* at = int_range lo (hi - 1) in
+        frequency
+          [
+            (* Truncated partway through an NLRI section. *)
+            (3, return (String.sub stream 0 at));
+            (* A prefix-length byte (or a byte of an address) replaced. *)
+            ( 3,
+              let* v = frequency [ (1, int_range 0 32); (1, int_range 33 255) ] in
+              let b = Bytes.of_string stream in
+              Bytes.set b at (Char.chr v);
+              return (Bytes.to_string b) );
+            (* Both: corrupted, then cut after the corruption. *)
+            ( 1,
+              let* cut = int_range at (String.length stream) in
+              let b = Bytes.of_string (String.sub stream 0 cut) in
+              if at < cut then Bytes.set b at '\x21';
+              return (Bytes.to_string b) );
+            (1, return stream);
+          ]
+    in
+    let* seg_size = int_range 1 300 in
+    let* gap = oneofl [ 1_000; 50_000; 1_000_000; 6_000_000 ] in
+    let* tight = bool in
+    let rec cut off acc =
+      if off >= String.length stream then List.rev acc
+      else begin
+        let len = min seg_size (String.length stream - off) in
+        let seg =
+          Seg.v
+            ~ts:(1_000_000 + (List.length acc * gap))
+            ~src:ep2 ~dst:ep1 ~seq:off ~ack:0 ~flags:Seg.data_flags
+            ~payload:(String.sub stream off len)
+            ()
+        in
+        cut (off + len) (seg :: acc)
+      end
+    in
+    return (Trace.of_segments (cut 0 []), tight))
+
+let damaged_transfer_prop =
+  prop ~count:400 "fused NLRI pass == extract-then-scan on damaged streams"
+    (QCheck.make
+       ~print:(fun (t, tight) ->
+         Printf.sprintf "trace of %d segments%s" (Trace.length t)
+           (if tight then " (tight config)" else ""))
+       gen_damaged_transfer_trace)
+    (fun (t, tight) ->
+      let config = if tight then Some tight_config else None in
+      let legacy =
+        Mct.transfer_end ?config ~start:0
+          (Mct.of_timed_msgs (Msg_reader.extract_from_trace t ~flow))
+      in
+      let streaming =
+        Mct.transfer_end_of_reasm ?config ~start:0
+          (Msg_reader.reassemble_from_trace t ~flow)
+      in
+      legacy = streaming)
+
+(* --- delivery-time index == the list walk ---------------------------------
+
+   Segments covering [0, len) in pieces, plus duplicates and overlapping
+   strays, fed in a random order with random timestamps: at every offset
+   below the frontier the binary search must return what the frozen
+   list walk returns, and both must agree on the frontier and on the
+   out-of-range errors. *)
+let gen_feeds =
+  QCheck.Gen.(
+    let* len = int_range 1 3000 in
+    let* piece = int_range 1 400 in
+    let rec pieces off acc =
+      if off >= len then acc
+      else pieces (off + piece) ((off, min piece (len - off)) :: acc)
+    in
+    let* strays =
+      list_size (int_range 0 10)
+        (pair (int_bound (len + 200)) (int_range 1 500))
+    in
+    let* dups = list_size (int_range 0 5) (oneofl (pieces 0 [])) in
+    let* feeds = shuffle_l (pieces 0 [] @ strays @ dups) in
+    (* Sometimes drop a piece so the frontier stops short of [len]. *)
+    let* drop = frequency [ (3, return None); (1, map Option.some (int_bound (len - 1))) ] in
+    let feeds =
+      match drop with
+      | None -> feeds
+      | Some at -> List.filter (fun (lo, n) -> not (lo <= at && at < lo + n)) feeds
+    in
+    list_repeat (List.length feeds) (int_bound 10_000_000)
+    |> map (fun tss -> List.combine feeds tss))
+
+let delivery_time_prop =
+  prop ~count:300 "delivery_time == list-walk delivery time"
+    (QCheck.make
+       ~print:(fun feeds ->
+         String.concat "; "
+           (List.map (fun ((lo, n), ts) -> Printf.sprintf "[%d,+%d)@%d" lo n ts) feeds))
+       gen_feeds)
+    (fun feeds ->
+      let segs =
+        List.map
+          (fun ((seq, len), ts) ->
+            Seg.v ~ts ~src:ep2 ~dst:ep1 ~seq ~ack:0 ~len ~flags:Seg.data_flags ())
+          feeds
+      in
+      let reasm = Stream_reassembly.create () in
+      let oracle = Legacy_ref.reasm_create () in
+      List.iter
+        (fun seg ->
+          Stream_reassembly.feed reasm seg;
+          Legacy_ref.reasm_feed oracle seg)
+        segs;
+      let frontier = Stream_reassembly.contiguous_length reasm in
+      let same off =
+        outcome (fun () -> Stream_reassembly.delivery_time reasm off)
+        = outcome (fun () -> Legacy_ref.delivery_time oracle off)
+      in
+      let rec all off = off >= frontier || (same off && all (off + 1)) in
+      frontier = oracle.Legacy_ref.frontier
+      && all 0 && same frontier && same (frontier + 7) && same (-1))
+
 (* Regression for the pset-hash precedence fix: consecutive /24
    prefixes pack to values a constant stride apart ([1 lsl 14]), and a
    multiplicative hash that keeps the LOW product bits degrades to one
@@ -415,26 +582,50 @@ let test_scratch_ints_isolation () =
 
 let bench_exe = Filename.concat ".." (Filename.concat "bench" "main.exe")
 
-(* The allocation gate is only trustworthy if it can actually fail: run
-   it against a deliberately impossible baseline and require a non-zero
-   exit.  (The positive direction — the real baseline passing — is
-   covered by `dune runtest` itself via the @perf-gate alias.) *)
-let test_perf_gate_rejects_tight_baseline () =
-  let tight = Filename.temp_file "tdat_gate" ".json" in
+(* The allocation gate is only trustworthy if it can actually fail.  For
+   each budget key, run it against a baseline where that key alone is
+   impossible and every other key is generous, and require a non-zero
+   exit; the all-generous baseline must pass, so each failure is that
+   key's own.  (The real baseline passing is covered by `dune runtest`
+   itself via the @perf-gate alias.) *)
+let gate_keys =
+  [
+    "analyze_minor_words_per_packet_max";
+    "decode_minor_words_per_packet_max";
+    "analyze_major_words_per_packet_max";
+    "analyze_words_per_packet_x4_ratio_max";
+  ]
+
+let run_gate_with ~tight =
+  let path = Filename.temp_file "tdat_gate" ".json" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove tight)
+    ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let oc = open_out tight in
+      let oc = open_out path in
+      output_string oc "{\n";
       output_string oc
-        "{ \"analyze_minor_words_per_packet_max\": 1,\n\
-        \  \"decode_minor_words_per_packet_max\": 1 }\n";
+        (String.concat ",\n"
+           (List.map
+              (fun k ->
+                Printf.sprintf "  %S: %s" k
+                  (if Some k = tight then "0.001" else "1e9"))
+              gate_keys));
+      output_string oc "\n}\n";
       close_out oc;
-      let cmd =
-        Printf.sprintf "%s perf_gate --baseline %s > /dev/null 2>&1"
-          (Filename.quote bench_exe) (Filename.quote tight)
-      in
-      let rc = Sys.command cmd in
-      Alcotest.(check bool) "tightened baseline fails the gate" true (rc <> 0))
+      Sys.command
+        (Printf.sprintf "%s perf_gate --baseline %s > /dev/null 2>&1"
+           (Filename.quote bench_exe) (Filename.quote path)))
+
+let test_perf_gate_rejects_tight_baseline () =
+  Alcotest.(check int) "generous baseline passes the gate" 0
+    (run_gate_with ~tight:None);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "tightened %s fails the gate" k)
+        true
+        (run_gate_with ~tight:(Some k) <> 0))
+    gate_keys
 
 let scratch_suite =
   [
@@ -454,4 +645,7 @@ let scratch_suite =
       test_perf_gate_rejects_tight_baseline;
   ]
 
-let suite = decode_props @ transfer_props @ scratch_suite
+let suite =
+  decode_props @ transfer_props
+  @ [ damaged_transfer_prop; delivery_time_prop ]
+  @ scratch_suite

@@ -1,6 +1,7 @@
 (* Odds and ends: behaviours not covered by the per-library suites —
    void periods, sniffer-location interpretation, packing order, MCT
-   configuration knobs, big-endian pcap, speaker keepalives. *)
+   configuration knobs, big-endian pcap, speaker keepalives, and the
+   CLI's answer to a directory where a file belongs. *)
 
 open Tdat
 module Seg = Tdat_pkt.Tcp_segment
@@ -192,6 +193,70 @@ let test_speaker_keepalives_when_blocked () =
     true
     (List.length keepalives >= 4)
 
+(* --- a directory given as an input file ----------------------------------- *)
+
+(* Works from the test stanza (cwd [_build/default/test]) and the
+   root-level aliases (cwd [_build/default]) alike. *)
+let tdat_exe =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name
+       (Filename.concat "bin" "tdat_cli.exe"))
+
+let with_tmpdir f =
+  let dir = Filename.temp_file "tdat_dirarg" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+(* [tdat ARGS] must exit 2 with exactly one [tdat: ...] line on stderr
+   naming [dir], not an uncaught-exception trace. *)
+let check_dir_rejected ~dir args =
+  let err = Filename.temp_file "tdat_dirarg" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let rc =
+        Sys.command
+          (Printf.sprintf "%s %s >/dev/null 2>%s" (Filename.quote tdat_exe)
+             args (Filename.quote err))
+      in
+      let lines =
+        In_channel.with_open_bin err In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+      in
+      Alcotest.(check int) (args ^ ": exit code") 2 rc;
+      match lines with
+      | [ line ] ->
+          let prefix = "tdat: " ^ dir in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: one-line message naming the directory (%S)"
+               args line)
+            true
+            (String.length line >= String.length prefix
+            && String.sub line 0 (String.length prefix) = prefix)
+      | _ ->
+          Alcotest.failf "%s: expected one stderr line, got %d" args
+            (List.length lines))
+
+let test_cli_dir_argument cmd () =
+  with_tmpdir (fun dir -> check_dir_rejected ~dir (cmd ^ " " ^ Filename.quote dir))
+
+let test_cli_dir_mrt () =
+  with_tmpdir (fun dir ->
+      let pcap = Filename.concat dir "empty.pcap" in
+      Out_channel.with_open_bin pcap (fun oc ->
+          Out_channel.output_string oc
+            (Tdat_pkt.Pcap.encode (Tdat_pkt.Trace.of_segments [])));
+      check_dir_rejected ~dir
+        (Printf.sprintf "analyze %s --mrt %s" (Filename.quote pcap)
+           (Filename.quote dir)))
+
 let suite =
   [
     Alcotest.test_case "void periods" `Quick test_void_periods;
@@ -205,4 +270,12 @@ let suite =
     Alcotest.test_case "pcap big endian" `Quick test_pcap_big_endian;
     Alcotest.test_case "speaker keepalives" `Quick
       test_speaker_keepalives_when_blocked;
+    Alcotest.test_case "cli: analyze DIR is a user error" `Quick
+      (test_cli_dir_argument "analyze");
+    Alcotest.test_case "cli: check DIR is a user error" `Quick
+      (test_cli_dir_argument "check");
+    Alcotest.test_case "cli: study DIR is a user error" `Quick
+      (test_cli_dir_argument "study");
+    Alcotest.test_case "cli: analyze --mrt DIR is a user error" `Quick
+      test_cli_dir_mrt;
   ]

@@ -115,6 +115,91 @@ let qcheck_suite =
         abs_float (Descriptive.mean xs -. naive) < 1e-6);
   ]
 
+(* --- the O(n) L-method against the exhaustive search ---------------------
+
+   [Legacy_ref.knee_of_sorted] is the O(n^2) loop that refits both sides
+   of every split.  The prefix-sum search must pick the same knee value
+   on each shape of input the knee sees in practice. *)
+
+let gen_len = QCheck.Gen.int_range 4 160
+
+let knee_classes =
+  QCheck.Gen.
+    [
+      ("uniform reals", list_size gen_len (float_range 0. 1000.));
+      ( "small-integer ties",
+        list_size gen_len (map float_of_int (int_bound 5)) );
+      ( "exactly flat",
+        let* n = gen_len in
+        let* v =
+          oneof [ map float_of_int (int_bound 1000); float_range 0. 10. ]
+        in
+        return (List.init n (fun _ -> v)) );
+      ( "integer-us timer cluster with outliers",
+        (* Most gaps sit within a microsecond of one sender timer; the
+           rest spread over the detector's 20 ms .. 2 s window. *)
+        let* timer = int_range 50_000 550_000 in
+        list_size gen_len
+          (frequency
+             [
+               (7, map (fun j -> float_of_int (timer + j)) (int_range (-1) 1));
+               (3, map float_of_int (int_range 20_000 2_000_000));
+             ]) );
+      ( "heavy-tailed",
+        (* Pareto, shape 1.2: the transfer-duration shape the study's
+           aggregate runs the knee over. *)
+        list_size gen_len
+          (map
+             (fun u -> 1. /. ((1. -. u) ** (1. /. 1.2)))
+             (float_bound_exclusive 1.)) );
+    ]
+
+(* Values that differ only in their last few bits (max - min within
+   1e-9 relative, but not equal) are excluded: every split's cost there
+   is rounding noise, so which split the O(n^2) loop's own argmin picks
+   is an accident of summation order, not a knee. *)
+let near_flat xs =
+  let lo = List.fold_left Float.min infinity xs
+  and hi = List.fold_left Float.max neg_infinity xs in
+  hi > lo && hi -. lo <= 1e-9 *. Float.max (abs_float lo) (abs_float hi)
+
+let knee_props =
+  List.map
+    (fun (name, gen) ->
+      let arb =
+        QCheck.make
+          ~print:(fun xs ->
+            String.concat "; " (List.map (Printf.sprintf "%.17g") xs))
+          gen
+      in
+      QCheck_alcotest.to_alcotest
+        (QCheck.Test.make ~count:300
+           ~name:("knee_of_sorted == exhaustive L-method: " ^ name)
+           arb
+           (fun xs ->
+             QCheck.assume (not (near_flat xs));
+             Knee.knee_of_sorted xs = Legacy_ref.knee_of_sorted xs)))
+    knee_classes
+
+(* The chosen split itself, not just its value, on the rank curve
+   [knee_of_sorted] builds: every class but the flat one, where all
+   splits tie exactly and only the value is defined. *)
+let l_method_prop =
+  let gen =
+    QCheck.Gen.oneof
+      (List.filter_map
+         (fun (name, g) -> if name = "exactly flat" then None else Some g)
+         knee_classes)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"l_method split == exhaustive split"
+       (QCheck.make gen) (fun xs ->
+         QCheck.assume (not (near_flat xs));
+         let a = Array.of_list xs in
+         Array.sort Float.compare a;
+         let points = Array.mapi (fun i v -> (float_of_int i, v)) a in
+         Knee.l_method points = Legacy_ref.knee_l_method points))
+
 let suite =
   [
     Alcotest.test_case "summarize" `Quick test_summarize;
@@ -128,4 +213,4 @@ let suite =
     Alcotest.test_case "knee too few" `Quick test_knee_too_few;
     Alcotest.test_case "ascii plots" `Quick test_ascii_plots_render;
   ]
-  @ qcheck_suite
+  @ qcheck_suite @ knee_props @ [ l_method_prop ]
